@@ -67,8 +67,9 @@ func TestDedupHotPathAllocs(t *testing.T) {
 	if small != large {
 		t.Errorf("full-pass allocations grow with instance size: %v (n=12) vs %v (n=72); the per-candidate path allocates", small, large)
 	}
-	// Measured: 9 (3 rules × per-call scratch: env, used, head tuple,
-	// matcher closure). Anything per-candidate blows well past this.
+	// Measured: 6 (3 rules × per-call scratch: head tuple and yield
+	// closure; the matcher's environment is the rule's reused spare).
+	// Anything per-candidate blows well past this.
 	const budget = 16
 	if small > budget {
 		t.Errorf("full dedup pass allocated %v objects, budget %d", small, budget)

@@ -1,7 +1,10 @@
 package datalog
 
 import (
+	"errors"
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/fact"
 )
@@ -46,10 +49,14 @@ type cRule struct {
 	ineq     []cIneq
 	vars     []string
 	negArity int // max arity over neg, for the guard scratch tuple
+	// spare caches one matcher between enumerations of the rule (see
+	// newMatcher). It is the rule's only mutable state, handed over
+	// atomically.
+	spare *atomic.Pointer[matcher]
 }
 
 func compileRule(r Rule) cRule {
-	cr := cRule{src: r}
+	cr := cRule{src: r, spare: new(atomic.Pointer[matcher])}
 	slot := func(name string) int32 {
 		for i, v := range cr.vars {
 			if v == name {
@@ -142,6 +149,61 @@ func (cr *cRule) checkGuards(env []fact.ID, idx *relIndex, data *fact.Instance, 
 	return true, nil
 }
 
+// matcher is the scratch state of one enumeration: the slot
+// environment, the used-atom flags and the guard tuple, plus the
+// call's parameters so the recursive walk is a method rather than a
+// heap-allocated closure. Each compiled rule keeps one spare matcher
+// that an enumeration takes for its duration and hands back, so serial
+// callers — the per-fact head probes of the incremental engine
+// (matchHead) above all — allocate nothing in steady state; concurrent
+// enumerations of the same rule allocate their own.
+type matcher struct {
+	cr       *cRule
+	idx      *relIndex
+	data     *fact.Instance
+	env      []fact.ID
+	used     []bool
+	guard    []fact.ID
+	pin      int
+	pinFacts []fact.Fact
+	scanned  int64
+	// yield receives every satisfying environment. When nil the
+	// matcher only counts them in n, stopping at the first one with
+	// errStopMatch when stop is set.
+	yield func(env []fact.ID) error
+	n     int64
+	stop  bool
+}
+
+// errStopMatch ends a stop-at-first enumeration early.
+var errStopMatch = errors.New("datalog: stop enumeration")
+
+// newMatcher takes the rule's spare matcher (or a fresh one) with
+// every slot unbound.
+func (cr *cRule) newMatcher(idx *relIndex, data *fact.Instance) *matcher {
+	m := cr.spare.Swap(nil)
+	if m == nil {
+		m = new(matcher)
+	}
+	m.cr, m.idx, m.data, m.pin = cr, idx, data, -1
+	m.env = slices.Grow(m.env[:0], len(cr.vars))[:len(cr.vars)]
+	for i := range m.env {
+		m.env[i] = fact.NoID
+	}
+	m.used = slices.Grow(m.used[:0], len(cr.pos))[:len(cr.pos)]
+	clear(m.used)
+	m.guard = slices.Grow(m.guard[:0], cr.negArity)
+	return m
+}
+
+// release hands the matcher back as its rule's spare, dropping its
+// references so the spare does not pin instances or callbacks.
+func (m *matcher) release() {
+	spare := m.cr.spare
+	*m = matcher{env: m.env, used: m.used, guard: m.guard}
+	spare.Store(m)
+}
+
 // match enumerates all satisfying environments of cr's body against
 // the index (membership guards against data when non-nil, else the
 // index) and calls yield for each. The environment passed to yield is
@@ -150,104 +212,136 @@ func (cr *cRule) checkGuards(env []fact.ID, idx *relIndex, data *fact.Instance, 
 // If pin >= 0, the positive atom at that index is matched first and
 // ranges over pinFacts instead of the index: this implements both the
 // semi-naive delta discipline and the parallel engine's work
-// partitioning. init, when non-nil, pre-binds slots (NoID means
-// unbound); only environments extending it are enumerated.
+// partitioning.
 //
 // The remaining atoms are ordered by selectivity exactly as the
 // string-based matcher did: at each step the unmatched atom with the
 // fewest candidate facts under the current environment is matched
 // next. scanned, when non-nil, accumulates the number of candidate
 // facts iterated.
-func (cr *cRule) match(idx *relIndex, data *fact.Instance, init []fact.ID, pin int, pinFacts []fact.Fact, scanned *int64, yield func(env []fact.ID) error) error {
-	n := len(cr.pos)
-	env := make([]fact.ID, len(cr.vars))
-	if init != nil {
-		copy(env, init)
-	} else {
-		for i := range env {
-			env[i] = fact.NoID
+func (cr *cRule) match(idx *relIndex, data *fact.Instance, pin int, pinFacts []fact.Fact, scanned *int64, yield func(env []fact.ID) error) error {
+	m := cr.newMatcher(idx, data)
+	m.pin, m.pinFacts, m.yield = pin, pinFacts, yield
+	err := m.rec(0)
+	if scanned != nil {
+		*scanned += m.scanned
+	}
+	m.release()
+	return err
+}
+
+// matchHead counts the satisfying valuations of cr whose head grounds
+// to f — the derivations of f through the rule — stopping at the first
+// when stop is set. The environment is seeded straight from f's IDs
+// through the compiled head: constants must match, and a repeated
+// variable must see equal IDs. A relation or arity mismatch counts 0.
+func (cr *cRule) matchHead(idx *relIndex, data *fact.Instance, f fact.Fact, stop bool) (int64, error) {
+	args := f.ArgIDs()
+	if f.RelID() != cr.head.rel || len(args) != len(cr.head.terms) {
+		return 0, nil
+	}
+	m := cr.newMatcher(idx, data)
+	defer m.release()
+	for i, t := range cr.head.terms {
+		v := args[i]
+		if t.slot < 0 {
+			if t.cnst != v {
+				return 0, nil
+			}
+		} else if b := m.env[t.slot]; b == fact.NoID {
+			m.env[t.slot] = v
+		} else if b != v {
+			return 0, nil
 		}
 	}
-	used := make([]bool, n)
-	guardScratch := make([]fact.ID, 0, cr.negArity)
-	var nscanned int64
-	var rec func(depth int) error
-	rec = func(depth int) error {
-		if depth == n {
-			ok, err := cr.checkGuards(env, idx, data, guardScratch)
-			if err != nil || !ok {
-				return err
-			}
-			return yield(env)
+	m.stop = stop
+	if err := m.rec(0); err != nil && err != errStopMatch {
+		return 0, err
+	}
+	return m.n, nil
+}
+
+// rec matches the positive atoms from depth on, then checks the guards
+// and yields (or counts) each complete environment.
+func (m *matcher) rec(depth int) error {
+	cr, env := m.cr, m.env
+	n := len(cr.pos)
+	if depth == n {
+		ok, err := cr.checkGuards(env, m.idx, m.data, m.guard)
+		if err != nil || !ok {
+			return err
 		}
-		// Pick the next atom: the pinned atom first, then greedily the
-		// most selective remaining one.
-		var k int
-		var cand []fact.Fact
-		if depth == 0 && pin >= 0 {
-			k, cand = pin, pinFacts
-		} else {
-			k = -1
-			for j := 0; j < n; j++ {
-				if used[j] {
-					continue
-				}
-				c := idx.candidatesC(cr.pos[j], env)
-				if k < 0 || len(c) < len(cand) {
-					k, cand = j, c
-					if len(cand) == 0 {
-						break
-					}
-				}
-			}
+		if m.yield != nil {
+			return m.yield(env)
 		}
-		used[k] = true
-		nscanned += int64(len(cand))
-		rel, terms := cr.pos[k].rel, cr.pos[k].terms
-		var addedArr [16]int32
-		for _, f := range cand {
-			if f.RelID() != rel {
+		m.n++
+		if m.stop {
+			return errStopMatch
+		}
+		return nil
+	}
+	// Pick the next atom: the pinned atom first, then greedily the
+	// most selective remaining one.
+	var k int
+	var cand []fact.Fact
+	if depth == 0 && m.pin >= 0 {
+		k, cand = m.pin, m.pinFacts
+	} else {
+		k = -1
+		for j := 0; j < n; j++ {
+			if m.used[j] {
 				continue
 			}
-			args := f.ArgIDs()
-			if len(args) != len(terms) {
-				continue
-			}
-			added := addedArr[:0]
-			ok := true
-			for i, t := range terms {
-				v := args[i]
-				if t.slot < 0 {
-					if t.cnst != v {
-						ok = false
-						break
-					}
-				} else if b := env[t.slot]; b == fact.NoID {
-					env[t.slot] = v
-					added = append(added, t.slot)
-				} else if b != v {
-					ok = false
+			c := m.idx.candidatesC(cr.pos[j], env)
+			if k < 0 || len(c) < len(cand) {
+				k, cand = j, c
+				if len(cand) == 0 {
 					break
 				}
 			}
-			if ok {
-				if err := rec(depth + 1); err != nil {
-					used[k] = false
-					return err
+		}
+	}
+	m.used[k] = true
+	m.scanned += int64(len(cand))
+	rel, terms := cr.pos[k].rel, cr.pos[k].terms
+	var addedArr [16]int32
+	for _, f := range cand {
+		if f.RelID() != rel {
+			continue
+		}
+		args := f.ArgIDs()
+		if len(args) != len(terms) {
+			continue
+		}
+		added := addedArr[:0]
+		ok := true
+		for i, t := range terms {
+			v := args[i]
+			if t.slot < 0 {
+				if t.cnst != v {
+					ok = false
+					break
 				}
-			}
-			for _, s := range added {
-				env[s] = fact.NoID
+			} else if b := env[t.slot]; b == fact.NoID {
+				env[t.slot] = v
+				added = append(added, t.slot)
+			} else if b != v {
+				ok = false
+				break
 			}
 		}
-		used[k] = false
-		return nil
+		if ok {
+			if err := m.rec(depth + 1); err != nil {
+				m.used[k] = false
+				return err
+			}
+		}
+		for _, s := range added {
+			env[s] = fact.NoID
+		}
 	}
-	err := rec(0)
-	if scanned != nil {
-		*scanned += nscanned
-	}
-	return err
+	m.used[k] = false
+	return nil
 }
 
 // groundHead writes the head tuple under env into dst (which must have
@@ -275,7 +369,7 @@ func (cr *cRule) groundHead(env []fact.ID, dst []fact.ID) error {
 // without ever materializing a Fact for duplicates.
 func evalRuleC(cr *cRule, idx *relIndex, data *fact.Instance, pin int, pinFacts []fact.Fact, scanned *int64, emit func(rel fact.ID, args []fact.ID) error) error {
 	head := make([]fact.ID, len(cr.head.terms))
-	return cr.match(idx, data, nil, pin, pinFacts, scanned, func(env []fact.ID) error {
+	return cr.match(idx, data, pin, pinFacts, scanned, func(env []fact.ID) error {
 		if err := cr.groundHead(env, head); err != nil {
 			return err
 		}
@@ -284,7 +378,7 @@ func evalRuleC(cr *cRule, idx *relIndex, data *fact.Instance, pin int, pinFacts 
 }
 
 // bindings converts an environment into the public Bindings form for
-// the compatibility APIs (Valuations, MatchBound, EvalPinned).
+// the Bindings-typed Valuations APIs.
 func (cr *cRule) bindings(env []fact.ID) Bindings {
 	b := make(Bindings, len(cr.vars))
 	for i, name := range cr.vars {
@@ -293,28 +387,4 @@ func (cr *cRule) bindings(env []fact.ID) Bindings {
 		}
 	}
 	return b
-}
-
-// seedEnv translates initial Bindings into a slot environment. Names
-// not appearing in the rule are ignored (they cannot constrain the
-// body). ok is false when a bound value has never been interned — no
-// fact can contain it, so no valuation can extend the bindings.
-func (cr *cRule) seedEnv(init Bindings) (env []fact.ID, ok bool) {
-	env = make([]fact.ID, len(cr.vars))
-	for i := range env {
-		env[i] = fact.NoID
-	}
-	for name, val := range init {
-		id, found := fact.LookupValue(val)
-		if !found {
-			return nil, false
-		}
-		for i, v := range cr.vars {
-			if v == name {
-				env[i] = id
-				break
-			}
-		}
-	}
-	return env, true
 }

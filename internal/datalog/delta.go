@@ -2,6 +2,7 @@ package datalog
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fact"
 )
@@ -9,61 +10,26 @@ import (
 // This file is the delta-hook surface the incremental view-maintenance
 // engine (internal/incr) is built on. The semi-naive fixpoint already
 // evaluates rules with one positive atom "pinned" to a delta; these
-// hooks export that discipline — pinned enumeration, head-bound
-// enumeration, and atom grounding — without exposing the engine's
-// internals. Everything here reads the IndexedInstance only; mutation
-// stays with Add and Remove.
+// hooks export that discipline — pinned enumeration (EvalPinnedVC) and
+// head-bound matching (MatchHeadCount, MatchHeadAny) — without
+// exposing the engine's internals. Everything here reads the
+// IndexedInstance only; mutation stays with Add and Remove.
 //
-// Two API planes coexist. The Valuation plane (EvalPinnedV,
-// MatchBoundCount, MatchBoundAny) exposes the compiled matcher's slot
-// environment directly: packed atom keys and head facts come from
-// interned IDs with no string work, which is what the incremental
-// engine's accept filters and support counting run on. The Bindings
-// plane (EvalPinned, MatchBound) is the original string-typed surface,
-// kept as a thin conversion layer for existing callers and tests.
-
-// Ground applies the bindings to the atom, producing a fact. Every
-// variable of the atom must be bound.
-func Ground(a Atom, b Bindings) (fact.Fact, error) {
-	return groundAtom(a, b)
-}
-
-// BindHead unifies the rule's head with the fact, returning the
-// bindings a derivation of exactly that fact must extend, and whether
-// unification succeeds (arities and constants must match, repeated
-// variables must agree). Used to enumerate or count the derivations of
-// a specific fact via MatchBound and friends.
-func (r Rule) BindHead(f fact.Fact) (Bindings, bool) {
-	if r.Head.Rel != f.Rel() || len(r.Head.Args) != f.Arity() {
-		return Bindings(nil), false
-	}
-	b := make(Bindings, len(r.Head.Args))
-	for i, t := range r.Head.Args {
-		v := f.Arg(i)
-		if t.IsVar() {
-			if bv, ok := b[t.Var]; ok {
-				if bv != v {
-					return nil, false
-				}
-			} else {
-				b[t.Var] = v
-			}
-		} else if t.Const != v {
-			return nil, false
-		}
-	}
-	return b, true
-}
+// The hooks work on the compiled matcher's slot environment directly:
+// packed atom keys, head facts and head seeds all come from interned
+// IDs with no string work, which is what the incremental engine's
+// accept filters, derivability checks and support recounts run on.
 
 // Valuation is one satisfying valuation of a compiled rule, exposed to
-// EvalPinnedV callbacks. It is a view into the matcher's live slot
+// EvalPinnedVC callbacks. It is a view into the matcher's live slot
 // environment: valid only for the duration of the callback, and the
 // byte slices returned by the *Key methods share one scratch buffer —
 // each call invalidates the previous result.
 type Valuation struct {
-	cr  *cRule
-	env []fact.ID
-	buf []byte
+	cr   *cRule
+	env  []fact.ID
+	buf  []byte
+	head []fact.ID
 }
 
 // appendAtomKey packs (relation, grounded args) of a compiled atom
@@ -92,16 +58,12 @@ func (v *Valuation) NegKey(k int) []byte { return v.appendAtomKey(v.cr.neg[k]) }
 
 // Head materializes the valuation's ground head fact.
 func (v *Valuation) Head() (fact.Fact, error) {
-	args := make([]fact.ID, len(v.cr.head.terms))
-	if err := v.cr.groundHead(v.env, args); err != nil {
+	v.head = slices.Grow(v.head[:0], len(v.cr.head.terms))[:len(v.cr.head.terms)]
+	if err := v.cr.groundHead(v.env, v.head); err != nil {
 		return fact.Fact{}, err
 	}
-	return fact.FromIDs(v.cr.head.rel, args), nil
+	return fact.FromIDs(v.cr.head.rel, v.head), nil
 }
-
-// Bindings converts the valuation to the string-typed Bindings form
-// (a fresh snapshot, safe to retain).
-func (v *Valuation) Bindings() Bindings { return v.cr.bindings(v.env) }
 
 // CompiledRule is a rule pre-compiled to the matcher's slot/ID form.
 // Compiling is pure per-rule setup (interning, slot numbering); a
@@ -110,126 +72,52 @@ func (v *Valuation) Bindings() Bindings { return v.cr.bindings(v.env) }
 // and safe to share across goroutines.
 type CompiledRule struct{ cr cRule }
 
-// Compile pre-compiles a rule for the *C evaluation entry points.
+// Compile pre-compiles a rule for EvalPinnedVC and MatchHead*.
 func Compile(r Rule) *CompiledRule {
 	cr := compileRule(r)
 	return &CompiledRule{cr: cr}
 }
 
-// Rule returns the source rule the compilation came from.
-func (c *CompiledRule) Rule() Rule { return c.cr.src }
-
-// EvalPinnedV enumerates every satisfying valuation of the rule whose
-// positive atom at index pin ranges over pinFacts (which need not be
-// present in the instance), with all other atoms joined against the
-// indexed instance and the guards (negation, inequalities) checked
-// against it. emit receives a live Valuation — key bytes and the
-// environment are only valid during the call. pinFacts must not
+// EvalPinnedVC enumerates every satisfying valuation of the compiled
+// rule whose positive atom at index pin ranges over pinFacts (which
+// need not be present in the instance), with all other atoms joined
+// against the indexed instance and the guards (negation, inequalities)
+// checked against it. emit receives a live Valuation — key bytes and
+// the environment are only valid during the call. pinFacts must not
 // contain duplicates, or valuations are enumerated once per copy.
 //
 // The instance must not be mutated while the call runs; concurrent
-// EvalPinnedV calls over the same instance are safe.
-func (x *IndexedInstance) EvalPinnedV(r Rule, pin int, pinFacts []fact.Fact, emit func(v *Valuation) error) error {
-	return x.EvalPinnedVC(Compile(r), pin, pinFacts, emit)
-}
-
-// EvalPinnedVC is EvalPinnedV over a pre-compiled rule — the hot-path
-// form for engines that evaluate a fixed rule set repeatedly.
+// EvalPinnedVC calls over the same instance are safe.
 func (x *IndexedInstance) EvalPinnedVC(c *CompiledRule, pin int, pinFacts []fact.Fact, emit func(v *Valuation) error) error {
 	if pin < 0 || pin >= len(c.cr.pos) {
-		return fmt.Errorf("datalog: EvalPinned pin %d out of range for %d positive atoms", pin, len(c.cr.pos))
+		return fmt.Errorf("datalog: EvalPinnedVC pin %d out of range for %d positive atoms", pin, len(c.cr.pos))
 	}
 	if len(pinFacts) == 0 {
 		return nil
 	}
 	val := &Valuation{cr: &c.cr}
-	return c.cr.match(x.idx, x.data, nil, pin, pinFacts, nil, func(env []fact.ID) error {
+	return c.cr.match(x.idx, x.data, pin, pinFacts, nil, func(env []fact.ID) error {
 		val.env = env
 		return emit(val)
 	})
 }
 
-// EvalPinned is the Bindings-plane form of EvalPinnedV: emit receives
-// the ground head and a snapshot of the bindings per valuation. New
-// code on hot paths should prefer EvalPinnedV, which does no string
-// work.
-func (x *IndexedInstance) EvalPinned(r Rule, pin int, pinFacts []fact.Fact, emit func(h fact.Fact, b Bindings) error) error {
-	return x.EvalPinnedV(r, pin, pinFacts, func(v *Valuation) error {
-		h, err := v.Head()
-		if err != nil {
-			return err
-		}
-		return emit(h, v.Bindings())
-	})
+// MatchHeadCount returns the number of satisfying valuations of the
+// compiled rule whose head grounds to f — the number of derivations of
+// f through the rule — against the indexed instance. The head is bound
+// straight from f's interned IDs: a relation or arity mismatch, a head
+// constant f does not carry, or a repeated head variable that f fills
+// with different values all count 0. It allocates nothing in steady
+// state.
+func (x *IndexedInstance) MatchHeadCount(c *CompiledRule, f fact.Fact) (int64, error) {
+	return c.cr.matchHead(x.idx, x.data, f, false)
 }
 
-// MatchBound enumerates every satisfying valuation of the rule that
-// extends the initial bindings (typically from BindHead), against the
-// indexed instance. The bindings passed to emit are fresh snapshots,
-// merged with any init entries for variables the rule does not use.
-// Counting the emissions for init = BindHead(f) counts the rule's
-// derivations of f.
-func (x *IndexedInstance) MatchBound(r Rule, init Bindings, emit func(Bindings) error) error {
-	cr := compileRule(r)
-	env, ok := cr.seedEnv(init)
-	if !ok {
-		return nil
-	}
-	return cr.match(x.idx, x.data, env, -1, nil, nil, func(env []fact.ID) error {
-		b := cr.bindings(env)
-		for name, val := range init {
-			if _, bound := b[name]; !bound {
-				b[name] = val
-			}
-		}
-		return emit(b)
-	})
-}
-
-// MatchBoundCount returns the number of satisfying valuations of the
-// rule extending the initial bindings — derivation counting without
-// per-valuation allocation. For init = BindHead(f) this is the number
-// of derivations of f through r.
-func (x *IndexedInstance) MatchBoundCount(r Rule, init Bindings) (int64, error) {
-	return x.MatchBoundCountC(Compile(r), init)
-}
-
-// MatchBoundCountC is MatchBoundCount over a pre-compiled rule.
-func (x *IndexedInstance) MatchBoundCountC(c *CompiledRule, init Bindings) (int64, error) {
-	env, ok := c.cr.seedEnv(init)
-	if !ok {
-		return 0, nil
-	}
-	var n int64
-	if err := c.cr.match(x.idx, x.data, env, -1, nil, nil, func([]fact.ID) error {
-		n++
-		return nil
-	}); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-var errStopMatch = fmt.Errorf("datalog: stop enumeration")
-
-// MatchBoundAny reports whether at least one satisfying valuation of
-// the rule extends the initial bindings — the derivability test of the
-// DRed rederivation pass, stopping at the first witness.
-func (x *IndexedInstance) MatchBoundAny(r Rule, init Bindings) (bool, error) {
-	return x.MatchBoundAnyC(Compile(r), init)
-}
-
-// MatchBoundAnyC is MatchBoundAny over a pre-compiled rule.
-func (x *IndexedInstance) MatchBoundAnyC(c *CompiledRule, init Bindings) (bool, error) {
-	env, ok := c.cr.seedEnv(init)
-	if !ok {
-		return false, nil
-	}
-	err := c.cr.match(x.idx, x.data, env, -1, nil, nil, func([]fact.ID) error {
-		return errStopMatch
-	})
-	if err == errStopMatch {
-		return true, nil
-	}
-	return false, err
+// MatchHeadAny reports whether f has at least one derivation through
+// the compiled rule against the indexed instance — the derivability
+// test of the DRed rederivation pass, stopping at the first witness.
+// It agrees with MatchHeadCount(c, f) > 0.
+func (x *IndexedInstance) MatchHeadAny(c *CompiledRule, f fact.Fact) (bool, error) {
+	n, err := c.cr.matchHead(x.idx, x.data, f, true)
+	return n > 0, err
 }

@@ -1,42 +1,55 @@
 package datalog
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 
 	"repro/internal/fact"
+	"repro/internal/generate"
 )
 
-// --- delta-hook surface (Ground, BindHead, EvalPinned, MatchBound) ---
+// --- delta-hook surface (EvalPinnedVC, MatchHeadCount, MatchHeadAny) ---
 
-func TestGround(t *testing.T) {
-	r := mustRule(t, `O(x,"c") :- E(x,y).`)
-	f, err := Ground(r.Head, Bindings{"x": "a", "y": "b"})
-	if err != nil {
-		t.Fatalf("Ground: %v", err)
-	}
-	if !f.Equal(fact.New("O", "a", "c")) {
-		t.Fatalf("Ground = %v, want O(a,c)", f)
-	}
-	if _, err := Ground(r.Head, Bindings{"y": "b"}); err == nil {
-		t.Fatal("Ground accepted unbound head variable")
-	}
+// pinnedHeads collects the ground heads EvalPinnedVC enumerates.
+func pinnedHeads(t *testing.T, x *IndexedInstance, r Rule, pin int, pinFacts []fact.Fact) ([]string, error) {
+	t.Helper()
+	var heads []string
+	err := x.EvalPinnedVC(Compile(r), pin, pinFacts, func(v *Valuation) error {
+		h, err := v.Head()
+		if err != nil {
+			return err
+		}
+		if got, want := string(v.HeadKey()), h.PackedKey(); got != want {
+			t.Errorf("HeadKey of %v = %x, want %x", h, got, want)
+		}
+		heads = append(heads, h.String())
+		return nil
+	})
+	return heads, err
 }
 
 func TestBindHead(t *testing.T) {
-	r := mustRule(t, `O(x,x,"c") :- E(x,y).`)
-	b, ok := r.BindHead(fact.New("O", "a", "a", "c"))
-	if !ok || b["x"] != "a" {
-		t.Fatalf("BindHead = %v, %v; want x=a bound", b, ok)
+	// The head binds from the fact's IDs: the repeated variable and the
+	// constant both constrain, and every mismatch counts nothing.
+	x := IndexInstance(fact.MustParseInstance(`E(a,b) E(b,b)`))
+	c := Compile(mustRule(t, `O(x,x,"c") :- E(x,y).`))
+	if n, err := x.MatchHeadCount(c, fact.New("O", "a", "a", "c")); err != nil || n != 1 {
+		t.Fatalf("MatchHeadCount(O(a,a,c)) = %d, %v; want 1", n, err)
 	}
 	for _, bad := range []fact.Fact{
 		fact.New("O", "a", "b", "c"), // repeated variable disagrees
 		fact.New("O", "a", "a", "d"), // constant mismatch
 		fact.New("O", "a", "a"),      // arity mismatch
 		fact.New("P", "a", "a", "c"), // relation mismatch
+		fact.New("O", "z", "z", "c"), // unifies, but no E(z,_)
 	} {
-		if _, ok := r.BindHead(bad); ok {
-			t.Errorf("BindHead unified with %v", bad)
+		n, err := x.MatchHeadCount(c, bad)
+		if err != nil || n != 0 {
+			t.Errorf("MatchHeadCount(%v) = %d, %v; want 0", bad, n, err)
+		}
+		if ok, err := x.MatchHeadAny(c, bad); err != nil || ok {
+			t.Errorf("MatchHeadAny(%v) = %v, %v; want false", bad, ok, err)
 		}
 	}
 }
@@ -46,51 +59,193 @@ func TestEvalPinned(t *testing.T) {
 	r := mustRule(t, `T(x,z) :- E(x,y), E(y,z).`)
 
 	// Pinning E(b,c) at position 0 enumerates only joins through it.
-	var heads []string
 	pin := []fact.Fact{fact.New("E", "b", "c")}
-	err := x.EvalPinned(r, 0, pin, func(h fact.Fact, b Bindings) error {
-		heads = append(heads, h.String())
-		return nil
-	})
+	heads, err := pinnedHeads(t, x, r, 0, pin)
 	if err != nil {
-		t.Fatalf("EvalPinned: %v", err)
+		t.Fatalf("EvalPinnedVC: %v", err)
 	}
 	if len(heads) != 1 || heads[0] != "T(b,d)" {
 		t.Fatalf("pinned heads = %v, want [T(b,d)]", heads)
 	}
 
 	// The pinned fact need not be present in the instance.
-	heads = nil
-	ghost := []fact.Fact{fact.New("E", "d", "e")}
-	if err := x.EvalPinned(r, 1, ghost, func(h fact.Fact, b Bindings) error {
-		heads = append(heads, h.String())
-		return nil
-	}); err != nil {
-		t.Fatalf("EvalPinned ghost: %v", err)
+	heads, err = pinnedHeads(t, x, r, 1, []fact.Fact{fact.New("E", "d", "e")})
+	if err != nil {
+		t.Fatalf("EvalPinnedVC ghost: %v", err)
 	}
 	if len(heads) != 1 || heads[0] != "T(c,e)" {
 		t.Fatalf("ghost-pinned heads = %v, want [T(c,e)]", heads)
 	}
 
-	if err := x.EvalPinned(r, 2, pin, func(fact.Fact, Bindings) error { return nil }); err == nil {
-		t.Fatal("EvalPinned accepted out-of-range pin")
+	if _, err := pinnedHeads(t, x, r, 2, pin); err == nil {
+		t.Fatal("EvalPinnedVC accepted out-of-range pin")
 	}
 }
 
-func TestMatchBoundCountsDerivations(t *testing.T) {
+func TestMatchHeadCountsDerivations(t *testing.T) {
 	// A diamond: T(a,d) has two length-2 derivations.
 	x := IndexInstance(fact.MustParseInstance(`E(a,b) E(b,d) E(a,c) E(c,d)`))
-	r := mustRule(t, `T(x,z) :- E(x,y), E(y,z).`)
-	init, ok := r.BindHead(fact.New("T", "a", "d"))
-	if !ok {
-		t.Fatal("BindHead failed")
+	c := Compile(mustRule(t, `T(x,z) :- E(x,y), E(y,z).`))
+	n, err := x.MatchHeadCount(c, fact.New("T", "a", "d"))
+	if err != nil || n != 2 {
+		t.Fatalf("MatchHeadCount(T(a,d)) = %d, %v; want 2", n, err)
 	}
-	n := 0
-	if err := x.MatchBound(r, init, func(Bindings) error { n++; return nil }); err != nil {
-		t.Fatalf("MatchBound: %v", err)
+	if ok, err := x.MatchHeadAny(c, fact.New("T", "a", "d")); err != nil || !ok {
+		t.Fatalf("MatchHeadAny(T(a,d)) = %v, %v; want true", ok, err)
 	}
-	if n != 2 {
-		t.Fatalf("MatchBound counted %d derivations of T(a,d), want 2", n)
+}
+
+// bruteHeadCount counts the full valuations of r over the instance's
+// active domain whose head grounds to f, by trying every assignment of
+// the rule's variables — an oracle independent of the matcher.
+func bruteHeadCount(r Rule, in *fact.Instance, f fact.Fact) int64 {
+	var vars []string
+	seen := map[string]bool{}
+	note := func(ts []Term) {
+		for _, t := range ts {
+			if t.IsVar() && !seen[t.Var] {
+				seen[t.Var] = true
+				vars = append(vars, t.Var)
+			}
+		}
+	}
+	for _, a := range r.Pos {
+		note(a.Args)
+	}
+	dom := in.ADom().Sorted()
+	val := map[string]fact.Value{}
+	ground := func(a Atom) fact.Fact {
+		args := make([]fact.Value, len(a.Args))
+		for i, t := range a.Args {
+			if t.IsVar() {
+				args[i] = val[t.Var]
+			} else {
+				args[i] = t.Const
+			}
+		}
+		return fact.New(a.Rel, args...)
+	}
+	term := func(t Term) fact.Value {
+		if t.IsVar() {
+			return val[t.Var]
+		}
+		return t.Const
+	}
+	var n int64
+	var walk func(i int)
+	walk = func(i int) {
+		if i < len(vars) {
+			for _, d := range dom {
+				val[vars[i]] = d
+				walk(i + 1)
+			}
+			return
+		}
+		for _, a := range r.Pos {
+			if !in.Has(ground(a)) {
+				return
+			}
+		}
+		for _, a := range r.Neg {
+			if in.Has(ground(a)) {
+				return
+			}
+		}
+		for _, q := range r.Ineq {
+			if term(q.A) == term(q.B) {
+				return
+			}
+		}
+		if ground(r.Head).Equal(f) {
+			n++
+		}
+	}
+	walk(0)
+	return n
+}
+
+// TestMatchHeadDifferential checks head seeding against the brute-force
+// oracle: on random-program rules and on hand-written heads with
+// constants and repeated variables, MatchHeadCount(c, f) equals the
+// number of full valuations whose head grounds to f for every
+// candidate f over a small domain, MatchHeadAny agrees with count > 0,
+// and heads of another relation or arity count 0.
+func TestMatchHeadDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	rels := []struct {
+		name  string
+		arity int
+	}{{"E", 2}, {"A", 1}, {"P0", 1}, {"P1", 2}, {"P2", 2}, {"P3", 1}, {"T", 2}, {"P", 2}}
+	dom := []fact.Value{"a", "b", "c"}
+	var rules []Rule
+	for i := 0; i < 12; i++ {
+		p, err := ParseProgram(generate.RandomProgram(rng, 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rules = append(rules, p.Rules...)
+	}
+	for _, src := range []string{
+		`T("a",y) :- E("a",y).`,
+		`T("a",y) :- E(x,y), E(y,x).`,
+		`P(x,x) :- E(x,y), E(y,x).`,
+		`P(x,x) :- E(x,y), !A(y).`,
+		`T(x,"c") :- E(x,y), E(y,z), x != z.`,
+	} {
+		rules = append(rules, mustRule(t, src))
+	}
+	for trial := 0; trial < 8; trial++ {
+		in := fact.NewInstance()
+		for _, rel := range rels {
+			for k := 0; k < 2+rng.Intn(5); k++ {
+				args := make([]fact.Value, rel.arity)
+				for j := range args {
+					args[j] = dom[rng.Intn(len(dom))]
+				}
+				in.Add(fact.New(rel.name, args...))
+			}
+		}
+		x := IndexInstance(in.Clone())
+		for _, r := range rules {
+			c := Compile(r)
+			// Every fact over the head relation and domain, plus a head
+			// of the wrong arity and one of a relation the rule does
+			// not define.
+			var cands []fact.Fact
+			var fill func(args []fact.Value)
+			fill = func(args []fact.Value) {
+				if len(args) == len(r.Head.Args) {
+					cands = append(cands, fact.New(r.Head.Rel, args...))
+					return
+				}
+				for _, d := range dom {
+					fill(append(args, d))
+				}
+			}
+			fill(nil)
+			wrongArity := make([]fact.Value, len(r.Head.Args)+1)
+			for j := range wrongArity {
+				wrongArity[j] = "a"
+			}
+			cands = append(cands, fact.New(r.Head.Rel, wrongArity...), fact.New("Zz", "a"))
+			for _, f := range cands {
+				want := int64(0)
+				if f.Rel() == r.Head.Rel && f.Arity() == len(r.Head.Args) {
+					want = bruteHeadCount(r, in, f)
+				}
+				got, err := x.MatchHeadCount(c, f)
+				if err != nil {
+					t.Fatalf("%v: MatchHeadCount(%v): %v", r, f, err)
+				}
+				if got != want {
+					t.Fatalf("%v over %v: MatchHeadCount(%v) = %d, brute force %d", r, in, f, got, want)
+				}
+				any, err := x.MatchHeadAny(c, f)
+				if err != nil || any != (want > 0) {
+					t.Fatalf("%v: MatchHeadAny(%v) = %v, %v; count %d", r, f, any, err, want)
+				}
+			}
+		}
 	}
 }
 
@@ -167,12 +322,9 @@ func TestCloneIsolation(t *testing.T) {
 	// Negation guards on a view read the snapshot, not the original.
 	r := mustRule(t, `O(x) :- E(x,y), !E(y,x).`)
 	x.Add(fact.New("E", "b", "a")) // would block O(a) now
-	var heads []string
-	if err := view.EvalPinned(r, 0, []fact.Fact{fact.New("E", "a", "b")}, func(h fact.Fact, b Bindings) error {
-		heads = append(heads, h.String())
-		return nil
-	}); err != nil {
-		t.Fatalf("EvalPinned on view: %v", err)
+	heads, err := pinnedHeads(t, view, r, 0, []fact.Fact{fact.New("E", "a", "b")})
+	if err != nil {
+		t.Fatalf("EvalPinnedVC on view: %v", err)
 	}
 	if len(heads) != 1 {
 		t.Fatalf("view negation saw post-snapshot facts: heads = %v", heads)

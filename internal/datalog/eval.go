@@ -71,28 +71,9 @@ func ParseEvalMode(s string) (EvalMode, error) {
 }
 
 // Bindings maps variable names to domain values. It remains the
-// public valuation surface (Valuations, MatchBound, delta hooks); the
-// engines work on compiled slot environments internally and convert
-// at the API boundary.
+// public valuation surface of Valuations; the engines work on compiled
+// slot environments internally and convert at the API boundary.
 type Bindings map[string]fact.Value
-
-// groundAtom applies the bindings to an atom, producing a fact. All
-// variables of the atom must be bound.
-func groundAtom(a Atom, b Bindings) (fact.Fact, error) {
-	args := make(fact.Tuple, len(a.Args))
-	for i, t := range a.Args {
-		if t.IsVar() {
-			v, ok := b[t.Var]
-			if !ok {
-				return fact.Fact{}, fmt.Errorf("datalog: unbound variable %s in %v", t.Var, a)
-			}
-			args[i] = v
-		} else {
-			args[i] = t.Const
-		}
-	}
-	return fact.FromTuple(a.Rel, args), nil
-}
 
 // Valuations enumerates every satisfying valuation of the rule against
 // the instance (Section 2): each valuation binds all variables of the

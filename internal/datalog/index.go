@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/fact"
@@ -126,42 +127,54 @@ func removeFact(fs []fact.Fact, f fact.Fact) []fact.Fact {
 // instead of one linear scan per fact: the incremental engine deletes
 // whole cascade waves and over-deletion cones at a time, where
 // per-fact scans over a large relation turn O(|wave|) maintenance into
-// O(|wave|·|relation|). fs must be duplicate-free. Membership tests
-// run by binary search over per-relation sorted batches, so a filtered
-// pass over a list of n facts costs n·log|batch| comparisons and no
-// allocation beyond the result.
+// O(|wave|·|relation|). fs must be duplicate-free and present in the
+// index. A list whose every fact goes is dropped outright — the common
+// case for a DRed cone, which often takes a whole relation. Otherwise
+// membership tests run by binary search over per-relation batches
+// sorted in interned-ID order (Fact.CompareIDs), so a filtered pass
+// over a list of n facts costs n·log|batch| integer comparisons and no
+// allocation beyond the result. Surviving facts keep their relative
+// order.
 func (idx *relIndex) removeAll(fs []fact.Fact) {
 	gone := make(map[fact.ID][]fact.Fact)
-	byArg := make(map[idxKey]bool)
+	hits := make(map[idxKey]int)
 	for _, f := range fs {
 		rel := f.RelID()
 		gone[rel] = append(gone[rel], f)
 		for p, v := range f.ArgIDs() {
-			byArg[idxKey{rel, int32(p), v}] = true
+			hits[idxKey{rel, int32(p), v}]++
 		}
 	}
 	for rel, gs := range gone {
-		fact.SortFacts(gs)
-		if lp, ok := idx.byRel[rel]; ok {
-			*lp = filterFacts(*lp, gs)
+		lp, ok := idx.byRel[rel]
+		if !ok {
+			continue
 		}
+		if len(gs) == len(*lp) {
+			*lp = nil
+			continue
+		}
+		slices.SortFunc(gs, fact.Fact.CompareIDs)
+		*lp = filterFacts(*lp, gs)
 	}
-	for k := range byArg {
+	for k, n := range hits {
 		lp, ok := idx.byArg[k]
 		if !ok {
 			continue
 		}
-		if kept := filterFacts(*lp, gone[k.rel]); len(kept) == 0 {
+		// A partial list belongs to a relation that was only partly
+		// removed, so its batch was sorted above.
+		if n == len(*lp) {
 			delete(idx.byArg, k)
 		} else {
-			*lp = kept
+			*lp = filterFacts(*lp, gone[k.rel])
 		}
 	}
 }
 
-// filterFacts returns the facts not present in the sorted gone batch.
-// The result is freshly allocated (copy-on-write, like removeFact)
-// unless nothing is dropped.
+// filterFacts returns the facts not present in the ID-sorted gone
+// batch, in their original order. The result is freshly allocated
+// (copy-on-write, like removeFact) unless nothing is dropped.
 func filterFacts(fs []fact.Fact, gone []fact.Fact) []fact.Fact {
 	for i, f := range fs {
 		if containsFact(gone, f) {
@@ -178,17 +191,10 @@ func filterFacts(fs []fact.Fact, gone []fact.Fact) []fact.Fact {
 	return fs
 }
 
+// containsFact binary-searches a batch sorted by Fact.CompareIDs.
 func containsFact(sorted []fact.Fact, f fact.Fact) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if sorted[mid].Compare(f) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(sorted) && sorted[lo].Equal(f)
+	_, found := slices.BinarySearchFunc(sorted, f, fact.Fact.CompareIDs)
+	return found
 }
 
 // tupleMatches reports whether the fact is rel(args...).
@@ -490,7 +496,7 @@ func (x *IndexedInstance) RemoveAll(fs []fact.Fact) int {
 	if x.data == nil {
 		panic("datalog: RemoveAll on a read-only CloneView")
 	}
-	present := fs[:0:0]
+	present := make([]fact.Fact, 0, len(fs))
 	for _, f := range fs {
 		if x.data.Remove(f) {
 			present = append(present, f)
@@ -545,7 +551,7 @@ func (x *IndexedInstance) Valuations(r Rule, emit func(Bindings) error) error {
 		return err
 	}
 	cr := compileRule(r)
-	return cr.match(x.idx, x.data, nil, -1, nil, nil, func(env []fact.ID) error {
+	return cr.match(x.idx, x.data, -1, nil, nil, func(env []fact.ID) error {
 		return emit(cr.bindings(env))
 	})
 }
@@ -580,7 +586,7 @@ func (x *IndexedInstance) ValuationsParallel(r Rule, workers int, emit func(Bind
 		go func() {
 			defer wg.Done()
 			for c := range next {
-				errs[c] = cr.match(x.idx, x.data, nil, 0, chunks[c], nil, func(env []fact.ID) error {
+				errs[c] = cr.match(x.idx, x.data, 0, chunks[c], nil, func(env []fact.ID) error {
 					results[c] = append(results[c], cr.bindings(env))
 					return nil
 				})

@@ -142,10 +142,11 @@ func (c *column) remove(args []ID) bool {
 	}
 	last := c.rows() - 1
 	if int(row) != last {
-		moved := make([]ID, c.arity)
+		var movedArr [16]ID
+		moved := movedArr[:0]
 		for j := range c.cols {
 			c.cols[j][row] = c.cols[j][last]
-			moved[j] = c.cols[j][row]
+			moved = append(moved, c.cols[j][row])
 		}
 		if c.k64 != nil {
 			c.k64[key64(moved)] = row

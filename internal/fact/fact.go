@@ -168,6 +168,35 @@ func (f Fact) Compare(g Fact) int {
 	return 0
 }
 
+// CompareIDs orders facts by interned relation ID, then arity, then
+// argument IDs — integer compares only. The order follows interning
+// history, so it is process-local: it suits membership and set
+// structures (sorted batches, binary search), while everything
+// observable sorts with Compare.
+func (f Fact) CompareIDs(g Fact) int {
+	if f.rel != g.rel {
+		if f.rel < g.rel {
+			return -1
+		}
+		return 1
+	}
+	if len(f.args) != len(g.args) {
+		if len(f.args) < len(g.args) {
+			return -1
+		}
+		return 1
+	}
+	for i, a := range f.args {
+		if b := g.args[i]; a != b {
+			if a < b {
+				return -1
+			}
+			return 1
+		}
+	}
+	return 0
+}
+
 // Map returns the fact obtained by applying h to every argument, i.e.
 // R(h(d1), ..., h(dk)). Values not present in h map to themselves.
 func (f Fact) Map(h map[Value]Value) Fact {

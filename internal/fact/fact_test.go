@@ -76,6 +76,21 @@ func TestFactEqualAndCompare(t *testing.T) {
 	if c.Compare(a) <= 0 {
 		t.Error("Compare not antisymmetric")
 	}
+	// CompareIDs is a total order consistent with Equal, whatever the
+	// interning order: 0 exactly for equal facts, antisymmetric
+	// otherwise, arity before arguments.
+	e := New("E", "a")
+	for _, f := range []Fact{a, b, c, d, e} {
+		for _, g := range []Fact{a, b, c, d, e} {
+			fg, gf := f.CompareIDs(g), g.CompareIDs(f)
+			if (fg == 0) != f.Equal(g) || fg != -gf {
+				t.Errorf("CompareIDs(%v,%v) = %d, reverse %d", f, g, fg, gf)
+			}
+		}
+	}
+	if e.CompareIDs(a) >= 0 {
+		t.Error("CompareIDs should order E/1 before E/2")
+	}
 }
 
 func TestFactKeyDistinguishes(t *testing.T) {

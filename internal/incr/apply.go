@@ -2,6 +2,7 @@ package incr
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/datalog"
 	"repro/internal/fact"
@@ -39,7 +40,9 @@ import (
 // inserted/removed so far, keyed by packed fact key and grouped by
 // relation), which later strata pin their seed joins to. The packed
 // keys let accept filters probe the sets with the matcher's scratch
-// key bytes — no fact materialization, no allocation.
+// key bytes — no fact materialization, no allocation. The sets are
+// membership structures only: the order of the per-relation lists is
+// internal (it feeds pin lists), never observable.
 type applyState struct {
 	st       ApplyStats
 	oldX     *datalog.IndexedInstance
@@ -58,14 +61,16 @@ func newApplyState() *applyState {
 	}
 }
 
-func (a *applyState) ins(f fact.Fact) {
-	a.insSet[f.PackedKey()] = true
-	a.insByRel[f.Rel()] = append(a.insByRel[f.Rel()], f)
+func (a *applyState) ins(kf keyedFact) {
+	a.insSet[kf.k] = true
+	rel := kf.f.Rel()
+	a.insByRel[rel] = append(a.insByRel[rel], kf.f)
 }
 
-func (a *applyState) del(f fact.Fact) {
-	a.delSet[f.PackedKey()] = true
-	a.delByRel[f.Rel()] = append(a.delByRel[f.Rel()], f)
+func (a *applyState) del(kf keyedFact) {
+	a.delSet[kf.k] = true
+	rel := kf.f.Rel()
+	a.delByRel[rel] = append(a.delByRel[rel], kf.f)
 }
 
 // stratumStats is the per-stratum event payload.
@@ -108,15 +113,17 @@ func (m *Materialization) Apply(d Delta) (ApplyStats, error) {
 	if len(ret) > 0 || (m.hasNeg && len(ins) > 0) {
 		a.oldX = m.x.CloneView()
 	}
-	for _, f := range ret {
-		m.base.Remove(f)
-		a.del(f)
+	retFacts := make([]fact.Fact, len(ret))
+	for i, kf := range ret {
+		m.base.Remove(kf.f)
+		a.del(kf)
+		retFacts[i] = kf.f
 	}
-	m.x.RemoveAll(ret)
-	for _, f := range ins {
-		m.base.Add(f)
-		m.x.Add(f)
-		a.ins(f)
+	m.x.RemoveAll(retFacts)
+	for _, kf := range ins {
+		m.base.Add(kf.f)
+		m.x.Add(kf.f)
+		a.ins(kf)
 	}
 	a.st.BaseInserted, a.st.BaseRetracted = len(ins), len(ret)
 	m.seq++
@@ -128,7 +135,7 @@ func (m *Materialization) Apply(d Delta) (ApplyStats, error) {
 	for si := range m.strata {
 		s := &m.strata[si]
 		sb := stratumStats{alg: "count"}
-		var cone map[string]fact.Fact
+		var cone []keyedFact
 		if m.deletionWork(s, a) {
 			if s.recursive {
 				sb.alg = "dred"
@@ -185,8 +192,9 @@ func (m *Materialization) ApplyTraced(d Delta, tc obs.SpanCtx) (ApplyStats, erro
 }
 
 // netDelta validates and nets the delta down to actual base changes,
-// returned in sorted fact order.
-func (m *Materialization) netDelta(d Delta) (ins, ret []fact.Fact, err error) {
+// returned with their packed keys in sorted fact order (the order they
+// reach the materialization in).
+func (m *Materialization) netDelta(d Delta) (ins, ret []keyedFact, err error) {
 	retM := make(map[string]fact.Fact)
 	for _, f := range d.Retract {
 		if err := m.checkBaseFact(f); err != nil {
@@ -199,31 +207,26 @@ func (m *Materialization) netDelta(d Delta) (ins, ret []fact.Fact, err error) {
 		if err := m.checkBaseFact(f); err != nil {
 			return nil, nil, err
 		}
-		if _, ok := retM[f.PackedKey()]; ok {
+		k := f.PackedKey()
+		if _, ok := retM[k]; ok {
 			return nil, nil, fmt.Errorf("incr: %v appears in both insert and retract of one delta", f)
 		}
-		insM[f.PackedKey()] = f
+		insM[k] = f
 	}
-	for k, f := range retM {
-		if !m.base.Has(f) {
-			delete(retM, k)
-		}
-	}
-	for k, f := range insM {
-		if m.base.Has(f) {
-			delete(insM, k)
-		}
-	}
-	return sortFactMap(insM), sortFactMap(retM), nil
+	return m.sortedNet(insM, false), m.sortedNet(retM, true), nil
 }
 
-func sortFactMap(fm map[string]fact.Fact) []fact.Fact {
-	fs := make([]fact.Fact, 0, len(fm))
-	for _, f := range fm {
-		fs = append(fs, f)
+// sortedNet keeps the facts of fm whose base membership equals want
+// and returns them keyed, in sorted fact order.
+func (m *Materialization) sortedNet(fm map[string]fact.Fact, want bool) []keyedFact {
+	kfs := make([]keyedFact, 0, len(fm))
+	for k, f := range fm {
+		if m.base.Has(f) == want {
+			kfs = append(kfs, keyedFact{f: f, k: k})
+		}
 	}
-	fact.SortFacts(fs)
-	return fs
+	slices.SortFunc(kfs, func(a, b keyedFact) int { return a.f.Compare(b.f) })
+	return kfs
 }
 
 func relsIntersect(rels map[string]bool, byRel map[string][]fact.Fact) bool {
@@ -429,7 +432,8 @@ func (m *Materialization) insertPropagate(s *stratum, a *applyState, sb *stratum
 		if len(wave) == 0 {
 			return nil
 		}
-		acc, err = m.runTasks(m.insertWaveTasks(s, wave, keySet(wave)))
+		pins, waveSet := splitKeyed(wave)
+		acc, err = m.runTasks(m.insertWaveTasks(s, pins, waveSet))
 		if err != nil {
 			return err
 		}
@@ -439,21 +443,19 @@ func (m *Materialization) insertPropagate(s *stratum, a *applyState, sb *stratum
 // applyIncrements commits one wave of gained derivations in sorted
 // order: existing facts gain support; new facts enter the
 // materialization and form the next wave.
-func (m *Materialization) applyIncrements(acc *headAcc, a *applyState, sb *stratumStats) []fact.Fact {
-	var wave []fact.Fact
+func (m *Materialization) applyIncrements(acc *headAcc, a *applyState, sb *stratumStats) []keyedFact {
+	var wave []keyedFact
 	for _, e := range acc.entries() {
-		f, n := e.f, e.n
-		k := f.PackedKey()
-		a.st.SupportIncrements += n
-		if m.x.Has(f) {
-			m.support[k] += n
+		a.st.SupportIncrements += e.n
+		if m.x.Has(e.f) {
+			m.support[e.k] += e.n
 			continue
 		}
-		m.x.Add(f)
-		m.support[k] = n
-		wave = append(wave, f)
+		m.x.Add(e.f)
+		m.support[e.k] = e.n
+		wave = append(wave, e.keyedFact)
 		sb.added++
-		a.ins(f)
+		a.ins(e.keyedFact)
 	}
 	return wave
 }
@@ -522,40 +524,40 @@ func (m *Materialization) countingDelete(s *stratum, a *applyState, sb *stratumS
 		// Enumerate the wave's consequences before committing the wave
 		// to the delta flow: the wave's own tasks must still see these
 		// facts as "current wave", not "already attributed".
-		lost, err = m.runTasks(m.deleteWaveTasks(s, a, wave, keySet(wave)))
+		pins, waveSet := splitKeyed(wave)
+		m.x.RemoveAll(pins)
+		lost, err = m.runTasks(m.deleteWaveTasks(s, a, pins, waveSet))
 		if err != nil {
 			return err
 		}
-		for _, f := range wave {
-			a.del(f)
+		for _, kf := range wave {
+			a.del(kf)
 		}
 	}
 }
 
-// applyDecrements commits one wave of lost derivations in sorted
-// order. A support underflow is impossible by the attribution
-// invariant (total decrements = lost derivations ≤ support), so
-// hitting one means the engine is corrupt and the error says so
-// loudly.
-func (m *Materialization) applyDecrements(lost *headAcc, a *applyState, sb *stratumStats) ([]fact.Fact, error) {
-	var wave []fact.Fact
+// applyDecrements commits one wave of lost derivations to the support
+// table in sorted order and returns the facts whose support reached
+// zero; the caller removes them. A support underflow is impossible by
+// the attribution invariant (total decrements = lost derivations ≤
+// support), so hitting one means the engine is corrupt and the error
+// says so loudly.
+func (m *Materialization) applyDecrements(lost *headAcc, a *applyState, sb *stratumStats) ([]keyedFact, error) {
+	var wave []keyedFact
 	for _, e := range lost.entries() {
-		f, n := e.f, e.n
-		k := f.PackedKey()
-		cur, ok := m.support[k]
-		if !ok || cur < n {
-			return nil, fmt.Errorf("incr: support underflow on %v: have %d, lost %d derivations", f, cur, n)
+		cur, ok := m.support[e.k]
+		if !ok || cur < e.n {
+			return nil, fmt.Errorf("incr: support underflow on %v: have %d, lost %d derivations", e.f, cur, e.n)
 		}
-		a.st.SupportDecrements += n
-		if cur > n {
-			m.support[k] = cur - n
+		a.st.SupportDecrements += e.n
+		if cur > e.n {
+			m.support[e.k] = cur - e.n
 			continue
 		}
-		delete(m.support, k)
-		wave = append(wave, f)
+		delete(m.support, e.k)
+		wave = append(wave, e.keyedFact)
 		sb.removed++
 	}
-	m.x.RemoveAll(wave)
 	return wave, nil
 }
 
@@ -565,118 +567,121 @@ func (m *Materialization) applyDecrements(lost *headAcc, a *applyState, sb *stra
 // can keep a dead fact alive), then rederive survivors bottom-up from
 // what remains. Returns the cone so Apply can recount supports after
 // the insertion phase.
-func (m *Materialization) dredDelete(s *stratum, a *applyState, sb *stratumStats) (map[string]fact.Fact, error) {
-	cone := make(map[string]fact.Fact)
-	var dlist []fact.Fact
+//
+// The cone and its waves are sets: each wave is kept in interned-ID
+// order (Fact.CompareIDs), which costs integer compares only and which
+// nothing observes, and every cone fact carries the packed key its
+// head accumulator computed. Facts re-enter the materialization in
+// canonical fact.SortFacts order.
+func (m *Materialization) dredDelete(s *stratum, a *applyState, sb *stratumStats) ([]keyedFact, error) {
+	inCone := make(map[string]bool)
+	var cone []keyedFact
 	collect := func(acc *headAcc) []fact.Fact {
-		var wave []fact.Fact
-		for _, f := range acc.sortedFacts() {
-			k := f.PackedKey()
-			if _, ok := cone[k]; ok {
+		wave := make([]fact.Fact, 0, len(acc.m))
+		for k, e := range acc.m {
+			if inCone[k] {
 				continue
 			}
-			cone[k] = f
-			dlist = append(dlist, f)
-			wave = append(wave, f)
+			inCone[k] = true
+			cone = append(cone, e.keyedFact)
+			wave = append(wave, e.f)
 		}
+		slices.SortFunc(wave, fact.Fact.CompareIDs)
 		return wave
 	}
 	acc, err := m.runTasks(m.deleteSeedTasks(s, a))
 	if err != nil {
 		return nil, err
 	}
-	wave := collect(acc)
-	for len(wave) > 0 {
-		// Cone expansion needs no attribution filters: the cone is a
-		// set, and over-collection is deduplicated right here.
-		waveByRel := groupByRel(wave)
-		var tasks []pinTask
-		for ri, r := range s.rules {
-			for i, at := range r.Pos {
-				if pinFacts := waveByRel[at.Rel]; len(pinFacts) > 0 {
-					tasks = append(tasks, pinTask{crule: s.crules[ri], pin: i, pinFacts: pinFacts, view: a.oldX})
-				}
-			}
-		}
-		if acc, err = m.runTasks(tasks); err != nil {
+	// Cone expansion needs no attribution filters: the cone is a set,
+	// and over-collection is deduplicated by collect.
+	for wave := collect(acc); len(wave) > 0; wave = collect(acc) {
+		if acc, err = m.runTasks(m.waveTasks(s, wave, a.oldX)); err != nil {
 			return nil, err
 		}
-		wave = collect(acc)
 	}
 
-	m.x.RemoveAll(dlist)
-	for _, f := range dlist {
-		delete(m.support, f.PackedKey())
+	dead := make([]fact.Fact, len(cone))
+	for i, kf := range cone {
+		dead[i] = kf.f
+		delete(m.support, kf.k)
 	}
-	sb.overdeleted = len(dlist)
+	m.x.RemoveAll(dead)
+	sb.overdeleted = len(cone)
 
 	// Rederivation pass 1: batch-frozen derivability check of every
 	// cone fact against the remainder — independent reads, so parallel
 	// mode fans them out; the adds happen after the pass in sorted
 	// order either way.
-	fact.SortFacts(dlist)
-	alive := make([]bool, len(dlist))
-	if err := m.parallelEach(len(dlist), func(i int) error {
-		ok, err := m.derivable(dlist[i])
+	alive := make([]bool, len(cone))
+	if err := m.parallelEach(len(cone), func(i int) error {
+		ok, err := m.derivable(cone[i].f)
 		alive[i] = ok
 		return err
 	}); err != nil {
 		return nil, err
 	}
 	var back []fact.Fact
-	for i, f := range dlist {
+	for i, kf := range cone {
 		if alive[i] {
-			m.x.Add(f)
-			back = append(back, f)
-			sb.rederived++
+			back = append(back, kf.f)
 		}
 	}
 	// Waves: a rederived fact can witness derivations of other cone
 	// members; any such head is derivable from the current view by
 	// construction, so it comes straight back.
 	for len(back) > 0 {
-		waveByRel := groupByRel(back)
-		var tasks []pinTask
-		for ri, r := range s.rules {
-			for i, at := range r.Pos {
-				if pinFacts := waveByRel[at.Rel]; len(pinFacts) > 0 {
-					tasks = append(tasks, pinTask{crule: s.crules[ri], pin: i, pinFacts: pinFacts, view: m.x})
-				}
-			}
+		fact.SortFacts(back)
+		for _, f := range back {
+			m.x.Add(f)
 		}
-		acc, err := m.runTasks(tasks)
+		sb.rederived += len(back)
+		acc, err := m.runTasks(m.waveTasks(s, back, m.x))
 		if err != nil {
 			return nil, err
 		}
 		back = back[:0]
-		for _, f := range acc.sortedFacts() {
-			if _, inCone := cone[f.PackedKey()]; !inCone || m.x.Has(f) {
-				continue
+		for k, e := range acc.m {
+			if inCone[k] && !m.x.Has(e.f) {
+				back = append(back, e.f)
 			}
-			m.x.Add(f)
-			back = append(back, f)
-			sb.rederived++
 		}
 	}
 
-	for _, f := range dlist {
-		if !m.x.Has(f) {
-			a.del(f)
+	for _, kf := range cone {
+		if !m.x.Has(kf.f) {
+			a.del(kf)
 			sb.removed++
 		}
 	}
 	return cone, nil
 }
 
+// waveTasks pins a wave of facts at every positive position of the
+// stratum's rules, against the given view, with no attribution filter
+// — the DRed passes collect sets, not counts.
+func (m *Materialization) waveTasks(s *stratum, wave []fact.Fact, view *datalog.IndexedInstance) []pinTask {
+	waveByRel := groupByRel(wave)
+	var tasks []pinTask
+	for ri, r := range s.rules {
+		for i, at := range r.Pos {
+			if pinFacts := waveByRel[at.Rel]; len(pinFacts) > 0 {
+				tasks = append(tasks, pinTask{crule: s.crules[ri], pin: i, pinFacts: pinFacts, view: view})
+			}
+		}
+	}
+	return tasks
+}
+
 // recount rebuilds exact support counts for the cone facts that
 // survived (or were re-added by the insertion phase) — DRed tracks
 // the fact set, not the counts, so they are recomputed from the final
-// materialization.
-func (m *Materialization) recount(cone map[string]fact.Fact, a *applyState, sb *stratumStats) error {
-	fs := sortFactMap(cone)
-	counts := make([]int64, len(fs))
-	if err := m.parallelEach(len(fs), func(i int) error {
-		f := fs[i]
+// materialization. The support table is a map, so the cone's order is
+// irrelevant here.
+func (m *Materialization) recount(cone []keyedFact, a *applyState, sb *stratumStats) error {
+	counts := make([]int64, len(cone))
+	if err := m.parallelEach(len(cone), func(i int) error {
+		f := cone[i].f
 		if !m.x.Has(f) {
 			return nil
 		}
@@ -692,9 +697,9 @@ func (m *Materialization) recount(cone map[string]fact.Fact, a *applyState, sb *
 	}); err != nil {
 		return err
 	}
-	for i, f := range fs {
+	for i, kf := range cone {
 		if counts[i] > 0 {
-			m.support[f.PackedKey()] = counts[i]
+			m.support[kf.k] = counts[i]
 			sb.recounts++
 		}
 	}

@@ -108,3 +108,43 @@ func BenchmarkIncrParallelDelta(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkIncrRingRetract is the DRed retract path on a 24-node
+// directed ring (|T| = 576): retracting one edge over-deletes the
+// whole closure — every T fact has a derivation through every edge —
+// and rederives the 276 pairs the remaining path still connects. Each
+// iteration retracts one edge (timed) and re-inserts it (untimed), in
+// turn around the ring, so every timed apply starts from the same
+// state up to rotation.
+func BenchmarkIncrRingRetract(b *testing.B) {
+	const n = 24
+	base := generate.Cycle("r", n)
+	edges := base.Facts()
+	m, err := New(datalog.MustParseProgram(tcProg), base, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var overdeleted, rederived int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := edges[i%n]
+		st, err := m.Apply(Delta{Retract: []fact.Fact{e}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		overdeleted += st.Overdeleted
+		rederived += st.Rederived
+		b.StopTimer()
+		if _, err := m.Apply(Delta{Insert: []fact.Fact{e}}); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.StopTimer()
+	if err := m.Verify(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(overdeleted)/float64(b.N), "overdeleted/op")
+	b.ReportMetric(float64(rederived)/float64(b.N), "rederived/op")
+}

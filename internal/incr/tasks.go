@@ -1,6 +1,7 @@
 package incr
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -26,18 +27,39 @@ type pinTask struct {
 	accept func(v *datalog.Valuation) bool
 }
 
+// keyedFact is a fact with its packed key (Fact.PackedKey), computed
+// once per apply — from the matcher's head key bytes for derived facts
+// — and shared by every set the fact enters: the delta flow, the DRed
+// cone, the support table.
+type keyedFact struct {
+	f fact.Fact
+	k string
+}
+
 // headEntry is one accumulated head fact with its derivation count.
 type headEntry struct {
-	f fact.Fact
+	keyedFact
 	n int64
 }
 
 // headAcc accumulates derivation counts per ground head fact, keyed by
 // the head's packed key. Repeat heads cost one map probe and no
-// allocation; the fact is materialized only the first time a key is
-// seen.
+// allocation; the fact and its key string are materialized only the
+// first time a key is seen, and entries are carved from slabs.
 type headAcc struct {
-	m map[string]*headEntry
+	m    map[string]*headEntry
+	slab []headEntry
+}
+
+// add records the first derivation of a new head.
+func (a *headAcc) add(kf keyedFact) {
+	if len(a.slab) == 0 {
+		a.slab = make([]headEntry, 32)
+	}
+	e := &a.slab[0]
+	a.slab = a.slab[1:]
+	*e = headEntry{keyedFact: kf, n: 1}
+	a.m[kf.k] = e
 }
 
 func newHeadAcc() *headAcc {
@@ -66,16 +88,6 @@ func (a *headAcc) entries() []*headEntry {
 	return es
 }
 
-// sortedFacts returns the accumulated head facts in sorted order.
-func (a *headAcc) sortedFacts() []fact.Fact {
-	fs := make([]fact.Fact, 0, len(a.m))
-	for _, e := range a.m {
-		fs = append(fs, e.f)
-	}
-	fact.SortFacts(fs)
-	return fs
-}
-
 func runTask(t pinTask, acc *headAcc) error {
 	return t.view.EvalPinnedVC(t.crule, t.pin, t.pinFacts, func(v *datalog.Valuation) error {
 		if t.accept != nil && !t.accept(v) {
@@ -90,7 +102,7 @@ func runTask(t pinTask, acc *headAcc) error {
 		if err != nil {
 			return err
 		}
-		acc.m[string(k)] = &headEntry{f: h, n: 1}
+		acc.add(keyedFact{f: h, k: string(k)})
 		return nil
 	})
 }
@@ -222,8 +234,13 @@ func (m *Materialization) parallelEach(n int, fn func(i int) error) error {
 	return nil
 }
 
-// groupByRel groups facts by relation, preserving slice order.
+// groupByRel groups facts by relation, preserving slice order. A
+// single-relation slice — the usual wave of a one-relation stratum —
+// is returned as its own group without copying.
 func groupByRel(fs []fact.Fact) map[string][]fact.Fact {
+	if len(fs) > 0 && slices.IndexFunc(fs, func(f fact.Fact) bool { return f.RelID() != fs[0].RelID() }) < 0 {
+		return map[string][]fact.Fact{fs[0].Rel(): fs}
+	}
 	g := make(map[string][]fact.Fact)
 	for _, f := range fs {
 		g[f.Rel()] = append(g[f.Rel()], f)
@@ -231,16 +248,17 @@ func groupByRel(fs []fact.Fact) map[string][]fact.Fact {
 	return g
 }
 
-// keySet builds the packed-key set of a fact slice, probed by the
-// accept filters with the matcher's scratch key bytes.
-func keySet(fs []fact.Fact) map[string]bool {
-	s := make(map[string]bool, len(fs))
-	var buf []byte
-	for _, f := range fs {
-		buf = f.AppendPacked(buf[:0])
-		s[string(buf)] = true
+// splitKeyed returns the facts of a keyed slice as a pin list, and
+// their packed keys as the set the accept filters probe with the
+// matcher's scratch key bytes.
+func splitKeyed(kfs []keyedFact) ([]fact.Fact, map[string]bool) {
+	fs := make([]fact.Fact, len(kfs))
+	set := make(map[string]bool, len(kfs))
+	for i, kf := range kfs {
+		fs[i] = kf.f
+		set[kf.k] = true
 	}
-	return s
+	return fs, set
 }
 
 // convertNeg rewrites the rule so its k-th negated atom becomes a

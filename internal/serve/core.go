@@ -341,12 +341,15 @@ drain:
 		if !resps[i].OK {
 			c.errors.Inc()
 		}
-		// Finish the request span before completing the response, so a
-		// serial session's span stream is deterministic: the client
-		// cannot observe the response until its spans are recorded.
+		// Finish the request span and release the write's fence (its
+		// epoch is already published) before completing the response,
+		// so a serial session's span stream is deterministic: the
+		// client cannot observe the response until its spans are
+		// recorded, and its next read cannot find the fence still
+		// pending and record a coord.fence wait.
 		t.span.SetEpoch(epochSeq).Finish()
-		t.resp <- resps[i]
 		close(t.done)
+		t.resp <- resps[i]
 		if !t.enq.IsZero() {
 			c.writeNs.Observe(time.Since(t.enq).Nanoseconds())
 		}

@@ -35,6 +35,10 @@ go test -run '^$' -bench 'BenchmarkNaiveVsSemiNaive|BenchmarkParallelTC|Benchmar
     -benchtime "$benchtime" . >>"$tmp"
 go test -run '^$' -bench 'BenchmarkDisabledOverhead|BenchmarkEnabled' \
     -benchtime "$benchtime" ./internal/obs/ >>"$tmp"
+# Incremental maintenance rows: single-delta vs recompute, and
+# BenchmarkIncrRingRetract — the DRed retract path on the 24-node ring
+# (overdeleted/op, rederived/op, B/op, allocs/op; EXPERIMENTS.md
+# PERF.13).
 go test -run '^$' -bench 'BenchmarkIncr' \
     -benchtime "$benchtime" ./internal/incr/ >>"$tmp"
 go test -run '^$' -bench 'BenchmarkPinnedReads|BenchmarkColdReads|BenchmarkWriteCommit|BenchmarkEpochPublish' \

@@ -9,9 +9,11 @@
 # internal/transducer coverage is gated at its pre-fault-layer
 # baseline (84.0%), internal/netsim, internal/generate, internal/obs,
 # internal/serve, internal/cluster,
-# and internal/admin at 80.0%, and the
-# instrumentation's disabled (nil) fast path is benchmarked against a
-# bare workload so "tracing off" stays ~free.
+# and internal/admin at 80.0%, internal/incr and internal/datalog at
+# 85.0%, the instrumentation's disabled (nil) fast path is benchmarked
+# against a bare workload so "tracing off" stays ~free, and the
+# repository benchmark's own module (perfbench/, with its response
+# oracles) is tested.
 # Usage: scripts/check.sh  (or: make check)
 set -eu
 
@@ -59,6 +61,16 @@ coverage_gate ./internal/obs/ 80.0
 coverage_gate ./internal/serve/ 80.0
 coverage_gate ./internal/cluster/ 80.0
 coverage_gate ./internal/admin/ 80.0
+coverage_gate ./internal/incr/ 85.0
+coverage_gate ./internal/datalog/ 85.0
+
+# The benchmark module (perfbench/) is a Go module of its own, so the
+# root `go test ./...` does not reach it. Its tests pin the workloads'
+# seeded inputs and the response oracles every benchmark op is checked
+# against (e.g. the byte-equal read-your-write `query T` after each
+# retract), so running them here makes those oracles gate every change.
+echo ">> (cd perfbench && go test ./...)"
+(cd perfbench && go test ./...)
 
 # Disabled-instrumentation overhead gate: the nil-receiver/nil-sink
 # fast path must stay within noise of the bare workload. "disabled"
